@@ -20,7 +20,9 @@
 #       (lockdep_test) run explicitly and must prove a deliberate
 #       A→B/B→A inversion aborts with both acquisition stacks.
 #   3. ThreadSanitizer build and run of the concurrency tests
-#      (threaded_test, parallel_um_test, snapshot_stress_test,
+#      (threaded_test, parallel_um_test, um_golden_test — the golden
+#      pins of the propagation pipeline, which every update crosses —
+#      snapshot_stress_test,
 #      wire_test — the epoll socket server under adversarial byte
 #      patterns and concurrent connections — and lexpress_exec_test,
 #      whose shared-Mapping/per-thread-Vm section proves the lexpress
@@ -106,13 +108,14 @@ else
 fi
 
 # -- 3. TSan concurrency tests ---------------------------------------
-note "ThreadSanitizer: threaded_test + parallel_um_test + snapshot_stress_test + wire_test + lexpress_exec_test"
+note "ThreadSanitizer: threaded_test + parallel_um_test + um_golden_test + snapshot_stress_test + wire_test + lexpress_exec_test"
 if cmake -B build-tsan -S . -DMETACOMM_SANITIZE=thread >/dev/null \
    && cmake --build build-tsan -j "$jobs" \
-        --target threaded_test parallel_um_test snapshot_stress_test \
-                 wire_test lexpress_exec_test; then
+        --target threaded_test parallel_um_test um_golden_test \
+                 snapshot_stress_test wire_test lexpress_exec_test; then
   ./build-tsan/tests/threaded_test    || fail "threaded_test under TSan"
   ./build-tsan/tests/parallel_um_test || fail "parallel_um_test under TSan"
+  ./build-tsan/tests/um_golden_test   || fail "um_golden_test under TSan"
   ./build-tsan/tests/snapshot_stress_test \
     || fail "snapshot_stress_test under TSan"
   ./build-tsan/tests/wire_test || fail "wire_test under TSan"
