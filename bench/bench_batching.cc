@@ -1,15 +1,15 @@
 // Batched, coalescing propagation — throughput vs max_batch_size.
 //
-// The sequential Update Manager pays every per-conversation cost once
-// PER UPDATE: the emulated processing delay of the update sequence
+// Every update propagates as part of a wave, which pays the emulated
+// processing delay of the update sequence
 // (UpdateManagerConfig::artificial_processing_delay_micros, the same
-// 200µs axis bench_parallel_um uses) and one device-session RTT per
-// converter command (devices::LatencyEmulator). The batched pipeline
-// (max_batch_size > 1) drains a whole run of the queue per wakeup,
-// coalesces redundant same-entity work, partitions the rest into
-// entity-disjoint waves, and pays the delay once per WAVE and the
-// device RTT once per repository per wave (DESIGN.md "Batching &
-// coalescing").
+// 200µs axis bench_parallel_um uses) once, and one device-session RTT
+// (devices::LatencyEmulator) per repository. At max_batch_size=1 a
+// wave holds one update, so both costs are paid once PER UPDATE.
+// Larger pops drain a whole run of the queue per wakeup, coalesce
+// redundant same-entity work and partition the rest into
+// entity-disjoint waves, sharing both costs across the wave (DESIGN.md
+// "Batching & coalescing").
 //
 // The workload is a two-device administrator storm: a PBX admin
 // changing rooms on one half of the population while an MP admin

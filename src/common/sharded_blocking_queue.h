@@ -19,8 +19,8 @@ namespace metacomm {
 
 /// Sharded MPMC FIFO: the Update Manager's parallel update queue.
 ///
-/// The single `BlockingQueue` serializes *everything* — the paper's
-/// §4.4 global update queue. But the consistency argument only needs
+/// The paper's §4.4 global update queue is a single FIFO that
+/// serializes *everything*. But the consistency argument only needs
 /// updates to the SAME entry to apply in submission order; updates to
 /// different entries commute. This queue keeps one strict FIFO per
 /// shard and routes items by a caller-supplied key (the normalized
@@ -28,10 +28,10 @@ namespace metacomm {
 /// cross-key parallelism — the update-exchange concurrency model of
 /// Youtopia (Kot & Koch) applied to the UM.
 ///
-/// Unlike `BlockingQueue`, `Pop` does NOT drain after `Close`: close
-/// means abort, and the owner reclaims unprocessed items via `Drain()`
-/// to release their resources (entry locks, caller promises) instead
-/// of leaking them — the shutdown story this queue exists to fix.
+/// `Pop` does NOT drain after `Close`: close means abort, and the owner
+/// reclaims unprocessed items via `Drain()` to release their resources
+/// (entry locks, caller promises) instead of leaking them — the
+/// shutdown story this queue exists to fix.
 template <typename T>
 class ShardedBlockingQueue {
  public:
@@ -107,27 +107,6 @@ class ShardedBlockingQueue {
       s.queue.pop_front();
     }
     return items;
-  }
-
-  /// Non-blocking pop from `shard`; nullopt when empty or closed.
-  std::optional<T> TryPop(size_t shard) {
-    Shard& s = *shards_[shard % shards_.size()];
-    MutexLock lock(&s.mutex);
-    if (s.queue.empty() || closed_.load(std::memory_order_acquire)) {
-      return std::nullopt;
-    }
-    T item = std::move(s.queue.front());
-    s.queue.pop_front();
-    return item;
-  }
-
-  /// Non-blocking pop scanning every shard (synchronous Pump() mode).
-  std::optional<T> TryPopAny() {
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      std::optional<T> item = TryPop(i);
-      if (item.has_value()) return item;
-    }
-    return std::nullopt;
   }
 
   /// Marks the queue closed and wakes every waiter. Pushes are

@@ -46,7 +46,7 @@ std::string OutgoingKey(const UpdateDescriptor& d,
 
 /// Folds `next` into `unit` if a merge rule applies; false means
 /// barrier (the caller starts a fresh unit).
-bool TryMerge(CoalescedUnit& unit, const UpdateDescriptor& next) {
+bool TryMerge(CoalescedUnit& unit, UpdateDescriptor& next) {
   UpdateDescriptor& u = unit.update;
   if (unit.annihilated) return false;     // Entity ended inside batch.
   if (u.op == DescriptorOp::kDelete) return false;  // Delete barrier.
@@ -56,10 +56,8 @@ bool TryMerge(CoalescedUnit& unit, const UpdateDescriptor& next) {
     // Add+Modify -> Add, Modify+Modify -> Modify: either way the
     // effective new image is the later one and the old image (absent
     // for Add) stays the batch-entry image the repository still holds.
-    u.new_record = next.new_record;
-    for (const std::string& attr : next.explicit_attrs) {
-      u.explicit_attrs.insert(attr);
-    }
+    u.new_record = std::move(next.new_record);
+    u.explicit_attrs.merge(next.explicit_attrs);
     return true;
   }
   // next.op == kDelete.
@@ -79,9 +77,8 @@ bool TryMerge(CoalescedUnit& unit, const UpdateDescriptor& next) {
 
 }  // namespace
 
-CoalesceResult CoalesceBatch(
-    const std::vector<UpdateDescriptor>& batch,
-    const std::string& key_attr) {
+CoalesceResult CoalesceBatch(std::vector<UpdateDescriptor> batch,
+                             const std::string& key_attr) {
   CoalesceResult out;
   // Latest open unit per entity, addressed by the entity's CURRENT key
   // in its rename chain. A barrier replaces the map entry, so later
@@ -89,7 +86,7 @@ CoalesceResult CoalesceBatch(
   std::map<std::string, size_t, CaseInsensitiveLess> open;
 
   for (size_t i = 0; i < batch.size(); ++i) {
-    const UpdateDescriptor& d = batch[i];
+    UpdateDescriptor& d = batch[i];
     const std::string in_key = IncomingKey(d, key_attr);
 
     if (!in_key.empty()) {
@@ -116,12 +113,12 @@ CoalesceResult CoalesceBatch(
       }
     }
 
+    std::string out_key = OutgoingKey(d, key_attr);
     CoalescedUnit unit;
-    unit.update = d;
+    unit.update = std::move(d);
     unit.constituents.push_back(i);
     out.units.push_back(std::move(unit));
     if (!in_key.empty()) {
-      std::string out_key = OutgoingKey(d, key_attr);
       open[out_key.empty() ? in_key : out_key] = out.units.size() - 1;
     }
   }

@@ -44,9 +44,9 @@ struct CoalesceResult {
 /// conditional flag — conditional (Originator/LastUpdater, §5.4)
 /// updates are never merged across originators, so reapplication
 /// semantics are untouched.
-CoalesceResult CoalesceBatch(
-    const std::vector<lexpress::UpdateDescriptor>& batch,
-    const std::string& key_attr);
+/// The batch's descriptors are moved into the units.
+CoalesceResult CoalesceBatch(std::vector<lexpress::UpdateDescriptor> batch,
+                             const std::string& key_attr);
 
 }  // namespace metacomm::core
 

@@ -25,6 +25,44 @@ lexpress::Record MergeRecords(const lexpress::Record& base,
   return out;
 }
 
+/// The repository's record before an update changes it, for saga
+/// compensation; nullopt when it does not exist or cannot be read.
+std::optional<lexpress::Record> FetchPrior(
+    RepositoryFilter* filter, const lexpress::UpdateDescriptor& update) {
+  std::string key = update.old_record.GetFirst(filter->key_attr());
+  if (key.empty()) key = update.new_record.GetFirst(filter->key_attr());
+  StatusOr<std::optional<lexpress::Record>> fetched = filter->Fetch(key);
+  if (!fetched.ok()) return std::nullopt;
+  return *fetched;
+}
+
+/// The saga compensation of an applied device update, built from the
+/// repository's pre-update record.
+lexpress::UpdateDescriptor Inverse(const lexpress::UpdateDescriptor& update,
+                                   const std::optional<lexpress::Record>& prior) {
+  lexpress::UpdateDescriptor inverse;
+  inverse.schema = update.schema;
+  inverse.source = "metacomm-undo";
+  inverse.conditional = true;
+  switch (update.op) {
+    case lexpress::DescriptorOp::kAdd:
+      inverse.op = lexpress::DescriptorOp::kDelete;
+      inverse.old_record = update.new_record;
+      break;
+    case lexpress::DescriptorOp::kModify:
+      inverse.op = prior.has_value() ? lexpress::DescriptorOp::kModify
+                                     : lexpress::DescriptorOp::kDelete;
+      inverse.old_record = update.new_record;
+      if (prior.has_value()) inverse.new_record = *prior;
+      break;
+    case lexpress::DescriptorOp::kDelete:
+      inverse.op = lexpress::DescriptorOp::kAdd;
+      if (prior.has_value()) inverse.new_record = *prior;
+      break;
+  }
+  return inverse;
+}
+
 }  // namespace
 
 UpdateManager::UpdateManager(ltap::LtapGateway* gateway,
@@ -135,7 +173,9 @@ void UpdateManager::Stop() {
 
 void UpdateManager::WorkerLoop(size_t shard) {
   const size_t max_batch =
-      static_cast<size_t>(std::max(1, config_.max_batch_size));
+      config_.saga_undo
+          ? 1
+          : static_cast<size_t>(std::max(1, config_.max_batch_size));
   // The worker's lexpress interpreter: its stack, value pool and record
   // view persist across every item this worker ever processes, so the
   // closure/translation hot path runs allocation-free in steady state.
@@ -145,15 +185,6 @@ void UpdateManager::WorkerLoop(size_t shard) {
     if (batch.empty()) return;  // Closed; Stop() reclaims the rest.
     for (WorkItem& item : batch) RecordDequeue(item);
     RecordBatch(batch.size());
-    if (batch.size() == 1) {
-      // The paper shape — and the max_batch_size=1 default — bypasses
-      // the coalescer entirely.
-      WorkItem& item = batch.front();
-      Status status = ProcessItem(item, &vm);
-      if (item.done) item.done->set_value(status);
-      SettleIntent(item.intent_id);
-      continue;
-    }
     ProcessBatch(std::move(batch), &vm);
   }
 }
@@ -191,86 +222,72 @@ void UpdateManager::RecordDequeue(const WorkItem& item) {
   }
 }
 
-size_t UpdateManager::Pump() {
-  // Synchronous assemblies drain on whatever thread calls Pump; a
-  // per-thread interpreter keeps its scratch warm across calls.
-  thread_local lexpress::Vm vm;
-  size_t processed = 0;
-  while (true) {
-    std::optional<WorkItem> item = queue_.TryPopAny();
-    if (!item.has_value()) break;
-    RecordDequeue(*item);
-    Status status = ProcessItem(*item, &vm);
-    if (item->done) item->done->set_value(status);
-    SettleIntent(item->intent_id);
-    ++processed;
-  }
-  return processed;
-}
-
 void UpdateManager::SubmitDeviceUpdate(lexpress::UpdateDescriptor update) {
   SubmitDeviceUpdateInternal(std::move(update), /*intent_id=*/0);
 }
 
 void UpdateManager::SubmitDeviceUpdateInternal(
     lexpress::UpdateDescriptor update, uint64_t intent_id) {
-  if (config_.threaded) {
-    // Translate and lock on THIS thread (the device's notification
-    // thread) so the coordinator never blocks on entry locks; the
-    // device administrator's command stalls instead, exactly as a DDU
-    // stalls at LTAP in the paper's design (§4.4).
-    StatusOr<std::optional<WorkItem>> prepared =
-        PrepareDeviceUpdate(update);
-    if (!prepared.ok()) {
-      // The failure is error-logged (the repair path owns it now), so
-      // a recovered intent must not replay it a second way.
-      HandleError(prepared.status(), update);
-      SettleIntent(intent_id);
-      return;
-    }
-    if (!prepared->has_value()) {
-      SettleIntent(intent_id);
-      return;  // Routed nowhere.
-    }
-    WorkItem item = std::move(**prepared);
-    if (intent_id == 0 && durability_ != nullptr) {
-      // Log-before-ack, in the SOURCE schema: once this returns the
-      // queue is no longer the only copy of the update — a crash
-      // before the item settles replays it through this very path.
-      StatusOr<uint64_t> logged = durability_->LogIntent(update);
-      if (!logged.ok()) {
-        ReleaseLocks(item.locked, item.lock_session);
-        HandleError(logged.status(), update);
-        return;
-      }
-      intent_id = *logged;
-    }
-    item.intent_id = intent_id;
-    // Same-entry FIFO: the shard is chosen from the first (normalized,
-    // sorted) locked DN, so every update touching that entry lands on
-    // the same worker. DN-less items carry no ordering constraint.
-    item.shard = item.locked.empty()
-                     ? queue_.NextShard()
-                     : queue_.ShardFor(item.locked.front().Normalized());
-    std::vector<ldap::Dn> locked = item.locked;
-    uint64_t lock_session = item.lock_session;
-    if (!Enqueue(std::move(item))) {
-      // Workers already stopped (UM shutdown/crash): the update is
-      // lost until resynchronization — the §4.4 recovery story. Its
-      // intent (if any) stays pending and replays on the next start.
-      ReleaseLocks(locked, lock_session);
-    }
+  // Translate and lock on THIS thread (the device's notification
+  // thread) so a worker never blocks on entry locks; the device
+  // administrator's command stalls instead, exactly as a DDU stalls at
+  // LTAP in the paper's design (§4.4).
+  StatusOr<std::optional<WorkItem>> prepared = PrepareDeviceUpdate(update);
+  if (!prepared.ok()) {
+    // The failure is error-logged (the repair path owns it now), so a
+    // recovered intent must not replay it a second way.
+    HandleError(prepared.status(), update);
+    SettleIntent(intent_id);
     return;
   }
-  // Synchronous mode: the device notification thread carries the
-  // propagation to completion before the administrator's command
-  // returns.
-  WorkItem item;
-  item.descriptor = std::move(update);
+  if (!prepared->has_value()) {
+    SettleIntent(intent_id);
+    return;  // Routed nowhere.
+  }
+  WorkItem item = std::move(**prepared);
   item.intent_id = intent_id;
-  Status status = ProcessItem(item, /*vm=*/nullptr);
-  (void)status;  // Failures were logged/notified by ProcessItem.
-  SettleIntent(item.intent_id);
+  if (!config_.threaded) {
+    // Synchronous mode: the device notification thread carries the
+    // propagation to completion before the administrator's command
+    // returns. Failures were logged and notified by the wave.
+    (void)ProcessNow(std::move(item));
+    return;
+  }
+  if (intent_id == 0 && durability_ != nullptr) {
+    // Log-before-ack, in the SOURCE schema: once this returns the
+    // queue is no longer the only copy of the update — a crash before
+    // the item settles replays it through this very path.
+    StatusOr<uint64_t> logged = durability_->LogIntent(update);
+    if (!logged.ok()) {
+      ReleaseLocks(item.locked, item.lock_session);
+      HandleError(logged.status(), update);
+      return;
+    }
+    item.intent_id = *logged;
+  }
+  // Same-entry FIFO: the shard is chosen from the first (normalized,
+  // sorted) locked DN, so every update touching that entry lands on
+  // the same worker. DN-less items carry no ordering constraint.
+  item.shard = item.locked.empty()
+                   ? queue_.NextShard()
+                   : queue_.ShardFor(item.locked.front().Normalized());
+  std::vector<ldap::Dn> locked = item.locked;
+  uint64_t lock_session = item.lock_session;
+  if (!Enqueue(std::move(item))) {
+    // Workers already stopped (UM shutdown/crash): the update is lost
+    // until resynchronization — the §4.4 recovery story. Its intent
+    // (if any) stays pending and replays on the next start.
+    ReleaseLocks(locked, lock_session);
+  }
+}
+
+Status UpdateManager::ProcessNow(WorkItem item) {
+  item.done = std::make_shared<std::promise<Status>>();
+  std::future<Status> done = item.done->get_future();
+  std::vector<WorkItem> batch;
+  batch.push_back(std::move(item));
+  ProcessBatch(std::move(batch), /*vm=*/nullptr);
+  return done.get();
 }
 
 void UpdateManager::SettleIntent(uint64_t intent_id) {
@@ -306,18 +323,14 @@ Status UpdateManager::OnUpdate(
       DescriptorFromNotification(notification);
   if (!descriptor.ok()) return descriptor.status();
 
-  if (!config_.threaded) {
-    WorkItem item;
-    item.descriptor = std::move(descriptor).value();
-    return ProcessItem(item, /*vm=*/nullptr);
-  }
+  WorkItem item;
+  item.descriptor = std::move(descriptor).value();
+  if (!config_.threaded) return ProcessNow(std::move(item));
   // Threaded: enqueue and wait — LTAP must not reply to the client
   // until the UM "completes the update sequence and notifies LTAP"
   // (§4.4). Routed by the updated entry's DN: a later update to the
   // same entry (the client holds its lock until we return, so it can
   // only be later) queues behind this one on the same shard.
-  WorkItem item;
-  item.descriptor = std::move(descriptor).value();
   item.shard = queue_.ShardFor(notification.dn.Normalized());
   item.done = std::make_shared<std::promise<Status>>();
   std::future<Status> done = item.done->get_future();
@@ -387,21 +400,6 @@ RepositoryFilter* UpdateManager::FindFilter(const std::string& name) const {
   return nullptr;
 }
 
-Status UpdateManager::ProcessItem(const WorkItem& item, lexpress::Vm* vm) {
-  if (item.prepared) return FinishDeviceUpdate(item, vm);
-  if (EqualsIgnoreCase(item.descriptor.schema, "ldap")) {
-    return ProcessLdapOriginated(item.descriptor, vm);
-  }
-  return ProcessDeviceOriginated(item.descriptor, vm);
-}
-
-Status UpdateManager::ProcessLdapOriginated(
-    const lexpress::UpdateDescriptor& update, lexpress::Vm* vm) {
-  // LTAP already applied the client's operation and holds the entry
-  // lock for the duration of this call.
-  return Propagate(update, /*ldap_current=*/true, vm);
-}
-
 StatusOr<std::optional<UpdateManager::WorkItem>>
 UpdateManager::PrepareDeviceUpdate(
     const lexpress::UpdateDescriptor& update) {
@@ -456,7 +454,7 @@ UpdateManager::PrepareDeviceUpdate(
             });
 
   WorkItem item;
-  item.prepared = true;
+  item.origin = Origin::kDevice;
   // One fresh LTAP session per work item. Locking under a session
   // shared by every DDU (the old um_session_) made LockTable::Acquire
   // treat two concurrent DDUs on the same entry as one re-entrant
@@ -561,25 +559,6 @@ void UpdateManager::ReleaseLocks(const std::vector<ldap::Dn>& locked,
   }
 }
 
-Status UpdateManager::FinishDeviceUpdate(const WorkItem& item,
-                                         lexpress::Vm* vm) {
-  Status status = Propagate(HydrateDeviceUpdate(item.descriptor),
-                            /*ldap_current=*/false, vm);
-  ReleaseLocks(item.locked, item.lock_session);
-  return status;
-}
-
-Status UpdateManager::ProcessDeviceOriginated(
-    const lexpress::UpdateDescriptor& update, lexpress::Vm* vm) {
-  StatusOr<std::optional<WorkItem>> prepared = PrepareDeviceUpdate(update);
-  if (!prepared.ok()) {
-    HandleError(prepared.status(), update);
-    return prepared.status();
-  }
-  if (!prepared->has_value()) return Status::Ok();
-  return FinishDeviceUpdate(**prepared, vm);
-}
-
 std::string UpdatePlan::ToString() const {
   std::string out;
   for (const PlannedOp& op : ops) {
@@ -671,137 +650,6 @@ StatusOr<UpdatePlan> UpdateManager::PlanUpdate(
   return plan;
 }
 
-Status UpdateManager::Propagate(
-    const lexpress::UpdateDescriptor& ldap_update, bool ldap_current,
-    lexpress::Vm* vm) {
-  StatusOr<UpdatePlan> plan = PlanUpdate(ldap_update, ldap_current, vm);
-  if (!plan.ok()) {
-    // Closure fixpoint failure (runtime cycle detection, §4.2) or a
-    // mapping evaluation error.
-    HandleError(plan.status(), ldap_update);
-    return plan.status();
-  }
-  {
-    MutexLock lock(&stats_mutex_);
-    stats_.closure_iterations +=
-        static_cast<uint64_t>(plan->closure_iterations);
-  }
-
-  if (config_.artificial_processing_delay_micros > 0 &&
-      !SleepInterruptible(config_.artificial_processing_delay_micros)) {
-    return Status::Unavailable("update manager is shut down");
-  }
-
-  Status first_error = Status::Ok();
-  std::vector<std::pair<RepositoryFilter*, lexpress::UpdateDescriptor>>
-      applied_for_undo;
-  std::vector<DeviceResult> results;
-  bool aborted = false;
-
-  for (const PlannedOp& op : plan->ops) {
-    if (aborted) break;
-    if (EqualsIgnoreCase(op.repository, "ldap")) {
-      ApplyResult applied = ldap_filter_->Apply(op.update);
-      if (!applied.ok()) {
-        // The view write failed: abort the sequence (§4.4).
-        HandleError(applied.status(), op.update);
-        return applied.status();
-      }
-      continue;
-    }
-
-    RepositoryFilter* filter = FindFilter(op.repository);
-    if (filter == nullptr) {
-      Status error = Status::Internal("plan names unknown repository: " +
-                                      op.repository);
-      HandleError(error, op.update);
-      if (first_error.ok()) first_error = error;
-      continue;
-    }
-    if (op.update.conditional) {
-      // This is the reapplication to the originating device that
-      // enforces write-write convergence (§4.4, §5.4).
-      if (!config_.reapply_to_originator) continue;
-      MutexLock lock(&stats_mutex_);
-      ++stats_.reapplications;
-    }
-
-    // Remember the pre-update image for saga undo.
-    std::optional<lexpress::Record> prior;
-    if (config_.saga_undo) {
-      std::string prior_key =
-          op.update.old_record.GetFirst(filter->key_attr());
-      if (prior_key.empty()) {
-        prior_key = op.update.new_record.GetFirst(filter->key_attr());
-      }
-      StatusOr<std::optional<lexpress::Record>> fetched =
-          filter->Fetch(prior_key);
-      if (fetched.ok()) prior = *fetched;
-    }
-
-    ApplyResult applied = ApplyToRepository(filter, op.update);
-    if (!applied.ok()) {
-      HandleFailure(filter->name(), applied.outcome(), applied.status(),
-                    op.update);
-      if (first_error.ok()) first_error = applied.status();
-      if (config_.saga_undo) {
-        // Compensate the devices already updated in this sequence,
-        // then stop fanning out. The failure itself was logged and the
-        // administrator notified; the client's directory write stands
-        // (§4.4: errors are repaired out-of-band).
-        UndoApplied(applied_for_undo);
-        aborted = true;
-      }
-      continue;
-    }
-    {
-      MutexLock lock(&stats_mutex_);
-      ++stats_.device_applies;
-    }
-    if (op.update.op != lexpress::DescriptorOp::kDelete) {
-      results.push_back(DeviceResult{filter, op.update.new_record,
-                                     std::move(*applied)});
-    }
-
-    if (config_.saga_undo) {
-      lexpress::UpdateDescriptor inverse;
-      inverse.schema = op.update.schema;
-      inverse.source = "metacomm-undo";
-      inverse.conditional = true;
-      switch (op.update.op) {
-        case lexpress::DescriptorOp::kAdd:
-          inverse.op = lexpress::DescriptorOp::kDelete;
-          inverse.old_record = op.update.new_record;
-          break;
-        case lexpress::DescriptorOp::kModify:
-          if (prior.has_value()) {
-            inverse.op = lexpress::DescriptorOp::kModify;
-            inverse.old_record = op.update.new_record;
-            inverse.new_record = *prior;
-          } else {
-            inverse.op = lexpress::DescriptorOp::kDelete;
-            inverse.old_record = op.update.new_record;
-          }
-          break;
-        case lexpress::DescriptorOp::kDelete:
-          inverse.op = lexpress::DescriptorOp::kAdd;
-          if (prior.has_value()) inverse.new_record = *prior;
-          break;
-      }
-      applied_for_undo.emplace_back(filter, std::move(inverse));
-    }
-  }
-
-  if (ldap_update.op != lexpress::DescriptorOp::kDelete) {
-    // Deletes mint no device-generated information.
-    (void)BackfillGeneratedInfo(ldap_update, *plan, results);
-  }
-  // Device-side failures were logged and the administrator notified
-  // (§4.4); they do not fail the originating client operation.
-  (void)first_error;
-  return Status::Ok();
-}
-
 Status UpdateManager::BackfillGeneratedInfo(
     const lexpress::UpdateDescriptor& ldap_update, const UpdatePlan& plan,
     const std::vector<DeviceResult>& results) {
@@ -860,26 +708,18 @@ void UpdateManager::SettleUnit(const UnitWork& unit,
 
 void UpdateManager::ProcessBatch(std::vector<WorkItem> items,
                                  lexpress::Vm* vm) {
-  if (config_.saga_undo) {
-    // Saga compensation reasons about ONE update sequence at a time;
-    // merged units have no single pre-image to restore. Fall back to
-    // the sequential path rather than guess.
-    for (WorkItem& item : items) {
-      Status status = ProcessItem(item, vm);
-      if (item.done) item.done->set_value(status);
-      SettleIntent(item.intent_id);
-    }
-    return;
-  }
-
-  // Normalize every popped item into the integrated schema so the
-  // coalescer compares like with like: Path A items already are; Path B
-  // items were translated on their device thread (prepared == true).
+  // Every item is already in the integrated schema, so the coalescer
+  // compares like with like: Path A items come from the trigger, device
+  // items were translated when they were prepared. The coalescer takes
+  // the descriptors; the items keep their locks, promises and intents
+  // until their unit settles.
   std::vector<lexpress::UpdateDescriptor> descriptors;
   descriptors.reserve(items.size());
-  for (const WorkItem& item : items) descriptors.push_back(item.descriptor);
+  for (WorkItem& item : items) {
+    descriptors.push_back(std::move(item.descriptor));
+  }
   CoalesceResult folded =
-      CoalesceBatch(descriptors, ldap_filter_->key_attr());
+      CoalesceBatch(std::move(descriptors), ldap_filter_->key_attr());
   if (folded.coalesced_away > 0) {
     MutexLock lock(&stats_mutex_);
     stats_.coalesced += folded.coalesced_away;
@@ -892,14 +732,10 @@ void UpdateManager::ProcessBatch(std::vector<WorkItem> items,
     unit.update = std::move(folded_unit.update);
     unit.constituents = std::move(folded_unit.constituents);
     unit.annihilated = folded_unit.annihilated;
-    // A unit is Path A exactly when its FIRST constituent came from an
-    // LTAP trigger (un-prepared "ldap"-schema item): the directory then
-    // already reflects that operation. Merging never changes this — the
-    // coalescer only folds a later item into an earlier unit, and the
-    // first constituent decides what the directory has seen.
-    const WorkItem& first = items[unit.constituents.front()];
-    unit.ldap_current =
-        !first.prepared && EqualsIgnoreCase(first.descriptor.schema, "ldap");
+    // The first constituent decides what the directory has seen: the
+    // coalescer only folds a later item into an earlier unit, and only
+    // items of the same source.
+    unit.origin = items[unit.constituents.front()].origin;
     units.push_back(std::move(unit));
   }
 
@@ -909,9 +745,11 @@ void UpdateManager::ProcessBatch(std::vector<WorkItem> items,
   const std::string& key_attr = ldap_filter_->key_attr();
   size_t next = 0;
   while (next < units.size()) {
-    if (queue_.closed()) {
+    if (next > 0 && queue_.closed()) {
       // Shutdown raced the batch: fail what we have not yet propagated,
-      // exactly as Stop()'s drain fails items still in the queue.
+      // exactly as Stop()'s drain fails items still in the queue. The
+      // first wave always runs — its items already left the queue, and
+      // a Synchronize after Stop() is the recovery path.
       size_t drained = 0;
       for (; next < units.size(); ++next) {
         drained += units[next].constituents.size();
@@ -958,11 +796,15 @@ void UpdateManager::PropagateWave(std::vector<UnitWork>& units,
   // One planned-and-alive propagation per unit in the wave.
   struct LiveUnit {
     UnitWork* unit;
-    lexpress::UpdateDescriptor update;  // Hydrated, integrated schema.
+    lexpress::UpdateDescriptor update;  // Integrated schema.
     UpdatePlan plan;
     std::vector<DeviceResult> results;
+    /// Compensations of this unit's applied device updates (saga_undo).
+    std::vector<std::pair<RepositoryFilter*, lexpress::UpdateDescriptor>>
+        undo;
     Status status = Status::Ok();
-    bool dead = false;  // Directory write failed: skip device fan-out.
+    bool dead = false;      // Directory write failed: no device fan-out.
+    bool aborted = false;   // Saga compensated: no further repositories.
   };
   std::vector<LiveUnit> live;
   live.reserve(wave.size());
@@ -970,10 +812,14 @@ void UpdateManager::PropagateWave(std::vector<UnitWork>& units,
     UnitWork& unit = units[index];
     LiveUnit lu;
     lu.unit = &unit;
-    lu.update = unit.ldap_current ? unit.update
-                                  : HydrateDeviceUpdate(unit.update);
-    StatusOr<UpdatePlan> plan = PlanUpdate(lu.update, unit.ldap_current, vm);
+    lu.update = unit.origin == Origin::kDevice
+                    ? HydrateDeviceUpdate(std::move(unit.update))
+                    : std::move(unit.update);
+    StatusOr<UpdatePlan> plan =
+        PlanUpdate(lu.update, unit.origin == Origin::kClient, vm);
     if (!plan.ok()) {
+      // Closure fixpoint failure (runtime cycle detection, §4.2) or a
+      // mapping evaluation error.
       HandleError(plan.status(), lu.update);
       SettleUnit(unit, items, plan.status(), /*processed=*/true);
       continue;
@@ -1010,9 +856,9 @@ void UpdateManager::PropagateWave(std::vector<UnitWork>& units,
   std::vector<lexpress::UpdateDescriptor> ldap_ops;
   std::vector<size_t> ldap_owner;
   for (size_t i = 0; i < live.size(); ++i) {
-    for (const PlannedOp& op : live[i].plan.ops) {
+    for (PlannedOp& op : live[i].plan.ops) {
       if (!EqualsIgnoreCase(op.repository, "ldap")) continue;
-      ldap_ops.push_back(op.update);
+      ldap_ops.push_back(std::move(op.update));
       ldap_owner.push_back(i);
     }
   }
@@ -1027,15 +873,16 @@ void UpdateManager::PropagateWave(std::vector<UnitWork>& units,
     }
   }
 
-  // Phase 2 — device fan-out, one shared session (one emulated RTT)
-  // per repository for the whole wave. Device-side failures are logged
-  // and notified but do not fail the originating operation (§4.4).
+  // Phase 2 — device fan-out in plan order, one shared session (one
+  // emulated RTT) per repository for the whole wave. Device-side
+  // failures are logged and notified but do not fail the originating
+  // operation (§4.4); under saga_undo they compensate their unit.
   for (RepositoryFilter* filter : filters_) {
     std::vector<lexpress::UpdateDescriptor> updates;
     std::vector<size_t> owners;
     for (size_t i = 0; i < live.size(); ++i) {
-      if (live[i].dead) continue;
-      for (const PlannedOp& op : live[i].plan.ops) {
+      if (live[i].dead || live[i].aborted) continue;
+      for (PlannedOp& op : live[i].plan.ops) {
         if (!EqualsIgnoreCase(op.repository, filter->name())) continue;
         if (op.update.conditional) {
           // Reapplication to the originator (§5.4).
@@ -1043,57 +890,45 @@ void UpdateManager::PropagateWave(std::vector<UnitWork>& units,
           MutexLock lock(&stats_mutex_);
           ++stats_.reapplications;
         }
-        updates.push_back(op.update);
+        updates.push_back(std::move(op.update));
         owners.push_back(i);
       }
     }
     if (updates.empty()) continue;
-    CircuitBreaker* breaker = BreakerFor(filter->name());
-    if (breaker != nullptr &&
-        !breaker->Allow(RealClock::Get()->NowMicros())) {
-      // Open circuit: the whole wave fast-fails for this repository —
-      // no administrative conversation is even opened. Each update is
-      // logged replayably; the healthy repositories' fan-out below is
-      // untouched, which is the breaker's whole point.
-      {
-        MutexLock lock(&stats_mutex_);
-        stats_.breaker_open_skips += updates.size();
-      }
+    std::vector<std::optional<lexpress::Record>> priors;
+    if (config_.saga_undo) {
+      priors.reserve(updates.size());
       for (const lexpress::UpdateDescriptor& update : updates) {
-        ApplyResult skipped = ApplyResult::SkippedOpenCircuit(filter->name());
-        HandleFailure(filter->name(), skipped.outcome(), skipped.status(),
-                      update);
+        priors.push_back(FetchPrior(filter, update));
       }
-      continue;
     }
-    std::vector<ApplyResult> applied = filter->ApplyBatch(updates);
-    if (updates.size() > 1) {
-      MutexLock lock(&stats_mutex_);
-      stats_.rtts_saved += updates.size() - 1;
-    }
+    std::vector<ApplyResult> applied = ApplyToRepository(filter, updates);
     for (size_t i = 0; i < applied.size(); ++i) {
-      if (breaker != nullptr) {
-        // Feed the breaker in batch order so consecutive-failure
-        // counting matches the sequential path exactly. A permanent
-        // rejection means the device responded: proof of life.
-        if (applied[i].outcome() == ApplyOutcome::kRetryable) {
-          breaker->OnRetryableFailure(RealClock::Get()->NowMicros());
-        } else {
-          breaker->OnSuccess();
-        }
-      }
+      LiveUnit& owner = live[owners[i]];
       if (!applied[i].ok()) {
         HandleFailure(filter->name(), applied[i].outcome(),
                       applied[i].status(), updates[i]);
+        if (config_.saga_undo) {
+          // Compensate the repositories this unit already updated and
+          // stop its fan-out. The failure was logged and the
+          // administrator notified; the directory write stands (§4.4:
+          // errors are repaired out-of-band).
+          UndoApplied(owner.undo);
+          owner.aborted = true;
+        }
         continue;
       }
       {
         MutexLock lock(&stats_mutex_);
         ++stats_.device_applies;
       }
+      if (config_.saga_undo) {
+        owner.undo.emplace_back(filter, Inverse(updates[i], priors[i]));
+      }
       if (updates[i].op != lexpress::DescriptorOp::kDelete) {
-        live[owners[i]].results.push_back(DeviceResult{
-            filter, updates[i].new_record, std::move(*applied[i])});
+        owner.results.push_back(DeviceResult{filter,
+                                             std::move(updates[i].new_record),
+                                             std::move(*applied[i])});
       }
     }
   }
@@ -1206,28 +1041,40 @@ CircuitBreaker* UpdateManager::breaker(const std::string& repository) const {
   return BreakerFor(repository);
 }
 
-ApplyResult UpdateManager::ApplyToRepository(
-    RepositoryFilter* filter, const lexpress::UpdateDescriptor& update) {
+std::vector<ApplyResult> UpdateManager::ApplyToRepository(
+    RepositoryFilter* filter,
+    const std::vector<lexpress::UpdateDescriptor>& updates) {
   CircuitBreaker* breaker = BreakerFor(filter->name());
   if (breaker != nullptr &&
       !breaker->Allow(RealClock::Get()->NowMicros())) {
+    // Open circuit: no administrative conversation is even opened.
+    // Each update fails fast (the caller logs it replayably) while the
+    // healthy repositories' fan-out is untouched — the breaker's point.
     {
       MutexLock lock(&stats_mutex_);
-      ++stats_.breaker_open_skips;
+      stats_.breaker_open_skips += updates.size();
     }
-    return ApplyResult::SkippedOpenCircuit(filter->name());
+    return std::vector<ApplyResult>(
+        updates.size(), ApplyResult::SkippedOpenCircuit(filter->name()));
   }
-  ApplyResult result = filter->Apply(update);
+  std::vector<ApplyResult> results = filter->ApplyBatch(updates);
+  if (updates.size() > 1) {
+    MutexLock lock(&stats_mutex_);
+    stats_.rtts_saved += updates.size() - 1;
+  }
   if (breaker != nullptr) {
-    if (result.outcome() == ApplyOutcome::kRetryable) {
-      breaker->OnRetryableFailure(RealClock::Get()->NowMicros());
-    } else {
-      // Applied, or permanently rejected — either way the device
-      // responded, so the administrative link is alive.
-      breaker->OnSuccess();
+    // In order, so consecutive-failure counting sees every update.
+    for (const ApplyResult& result : results) {
+      if (result.outcome() == ApplyOutcome::kRetryable) {
+        breaker->OnRetryableFailure(RealClock::Get()->NowMicros());
+      } else {
+        // Applied, or permanently rejected — either way the device
+        // responded, so the administrative link is alive.
+        breaker->OnSuccess();
+      }
     }
   }
-  return result;
+  return results;
 }
 
 void UpdateManager::RepairLoop() {
@@ -1381,7 +1228,7 @@ bool UpdateManager::ReplayRepository(
     // applied before the outage, or a later sync may have carried it.
     lexpress::UpdateDescriptor replay = failure.update;
     replay.conditional = true;
-    ApplyResult result = ApplyToRepository(filter, replay);
+    ApplyResult result = ApplyToRepository(filter, {replay}).front();
     if (result.retryable()) {
       // Repository still down (or its circuit still open): leave this
       // and every later entry for the next pass — replay order within
@@ -1550,8 +1397,9 @@ Status UpdateManager::Synchronize(const std::string& device_name) {
   const std::string& ldap_key_of_device =
       filter->to_ldap().key_target_attr();
 
-  // Device -> directory (and, through Propagate, to other devices that
-  // share the data being synchronized).
+  // Device -> directory (and, through one wave per record, to the other
+  // devices that share the data being synchronized). The upserts take
+  // no entry locks: the quiesce isolates the whole synchronization.
   std::set<std::string> device_keys;
   Status first_error = Status::Ok();
   for (const lexpress::Record& record : *dump) {
@@ -1595,8 +1443,10 @@ Status UpdateManager::Synchronize(const std::string& device_name) {
       upsert.explicit_attrs.insert(attr);
     }
     upsert.explicit_attrs.erase(kLastUpdaterAttr);
-    Status status = Propagate(upsert, /*ldap_current=*/false,
-                              /*vm=*/nullptr);
+    WorkItem item;
+    item.descriptor = std::move(upsert);
+    item.origin = Origin::kResync;
+    Status status = ProcessNow(std::move(item));
     if (!status.ok() && first_error.ok()) first_error = status;
   }
 
@@ -1621,7 +1471,7 @@ Status UpdateManager::Synchronize(const std::string& device_name) {
     std::string key = device_add.new_record.GetFirst(device_key_attr);
     if (key.empty() || device_keys.count(key) > 0) continue;
     device_add.conditional = true;  // Upsert semantics.
-    ApplyResult applied = ApplyToRepository(filter, device_add);
+    ApplyResult applied = ApplyToRepository(filter, {device_add}).front();
     if (!applied.ok()) {
       HandleFailure(filter->name(), applied.outcome(), applied.status(),
                     device_add);

@@ -27,9 +27,10 @@ namespace metacomm::core {
 /// Update Manager tuning.
 struct UpdateManagerConfig {
   /// true: worker threads drain the update queue (production shape).
-  /// false: callers drive processing synchronously — trigger
-  /// notifications process inline and Pump() drains queued DDUs —
-  /// which is what the deterministic tests and benches use.
+  /// false: every update propagates inline on the thread that reports
+  /// it (the LTAP trigger, the device notification, Synchronize) and
+  /// nothing is ever queued — what the deterministic tests and benches
+  /// use.
   bool threaded = false;
   /// Number of update workers (threaded mode). Each worker owns one
   /// shard of the update queue; items route to shards by the hash of
@@ -52,7 +53,10 @@ struct UpdateManagerConfig {
   bool reapply_to_originator = true;
   /// The saga-style undo of §4.4's "later version": on a failed device
   /// update, already-applied device updates of the same sequence are
-  /// compensated using pre-update information.
+  /// compensated using pre-update information, fetched from each
+  /// repository just before it is written. Workers then pop one item
+  /// at a time: a coalesced unit's pre-image would predate writes that
+  /// were already acknowledged, and compensating it would undo them.
   bool saga_undo = false;
   /// Where error-log entries are written ("cn=errors,o=Lucent");
   /// empty disables directory error logging.
@@ -60,18 +64,17 @@ struct UpdateManagerConfig {
   /// Experiment instrumentation: sleep this long between computing an
   /// update's closure and writing it back, widening the window in
   /// which concurrent updates can interleave. Used by the locking
-  /// ablation (EXPERIMENTS.md A2); zero in production. In the batched
-  /// path the delay models the per-conversation device cost and is
-  /// paid once per WAVE, not once per update.
+  /// ablation (EXPERIMENTS.md A2); zero in production. The delay also
+  /// models the per-conversation device cost, so it is paid once per
+  /// WAVE (once per update at max_batch_size 1).
   int64_t artificial_processing_delay_micros = 0;
-  /// Most items a worker drains from its shard per wakeup. 1 (the
-  /// default) is the paper's one-update-per-device-conversation shape
-  /// and leaves every existing code path untouched; larger values
-  /// enable the batched, coalescing propagation pipeline (DESIGN.md
-  /// "Batching & coalescing"): redundant same-entity updates fold
-  /// together and each repository pays its conversation cost once per
-  /// batch instead of once per update. Incompatible with `saga_undo`
-  /// (batches fall back to sequential processing when both are set).
+  /// Most items a worker drains from its shard per wakeup. Every pop
+  /// runs through the same pipeline (DESIGN.md "Batching &
+  /// coalescing"): redundant same-entity updates fold together, and
+  /// entity-disjoint units propagate as one wave in which each
+  /// repository pays its conversation cost once. 1 (the default) makes
+  /// every wave a single update: the paper's one-update-per-device-
+  /// conversation shape. Ignored (treated as 1) under `saga_undo`.
   int max_batch_size = 1;
   /// Per-repository circuit breaker (DESIGN.md "Fault tolerance").
   /// When a device's administrative link is down, every propagation
@@ -172,9 +175,6 @@ class UpdateManager : public ltap::TriggerActionServer {
   /// callers when the queue dies.
   void Stop();
 
-  /// Synchronous mode: processes queued DDUs inline; returns how many.
-  size_t Pump();
-
   /// Direct device update intake (wired to DeviceFilter::SetDduHandler
   /// by AddDeviceFilter, public for tests and custom filters).
   void SubmitDeviceUpdate(lexpress::UpdateDescriptor update);
@@ -193,8 +193,8 @@ class UpdateManager : public ltap::TriggerActionServer {
   /// Re-submits every unresolved intent RecoverBackend found — the
   /// acked-but-unapplied device updates of the previous process —
   /// through the normal convergence path, keeping their original
-  /// intent ids. Call after Start() (threaded) or drive Pump()
-  /// afterwards (synchronous). Returns how many were re-submitted.
+  /// intent ids. Call after Start() (threaded); a synchronous UM
+  /// propagates them inline. Returns how many were re-submitted.
   size_t ReplayRecoveredIntents();
 
   /// Synchronizes one device with the directory under quiesce (§4.4,
@@ -292,8 +292,18 @@ class UpdateManager : public ltap::TriggerActionServer {
   Status OnUpdate(const ltap::UpdateNotification& notification) override;
 
  private:
+  /// Where a work item's update comes from, which decides how its
+  /// wave treats the directory.
+  enum class Origin {
+    kClient,  // Path A: LTAP already applied it; the directory is current.
+    kDevice,  // Path B: a translated DDU, hydrated from the directory.
+    kResync,  // A Synchronize upsert: a full image, applied as it is.
+  };
+
   struct WorkItem {
+    /// The update in the integrated ("ldap") schema.
     lexpress::UpdateDescriptor descriptor;
+    Origin origin = Origin::kClient;
     /// Entry locks already held for this item, owned by its private
     /// `lock_session`. Taken on the submitting thread, BEFORE the item
     /// enters the queue — if a worker itself blocked on entry locks, a
@@ -310,10 +320,8 @@ class UpdateManager : public ltap::TriggerActionServer {
     size_t shard = 0;
     /// Enqueue timestamp for the per-shard latency counters.
     int64_t enqueue_micros = 0;
-    /// True when `descriptor` is already translated to the ldap schema
-    /// and `locked` is populated (prepared device update).
-    bool prepared = false;
-    /// Set when a completion needs to be signalled (threaded Path A).
+    /// Set when a completion needs to be signalled (threaded Path A,
+    /// and every inline caller).
     std::shared_ptr<std::promise<Status>> done;
     /// Durable intent backing this item (0: none). Resolved when the
     /// item settles; left pending when Stop() drains it unprocessed.
@@ -337,8 +345,9 @@ class UpdateManager : public ltap::TriggerActionServer {
   StatusOr<std::optional<WorkItem>> PrepareDeviceUpdate(
       const lexpress::UpdateDescriptor& update);
 
-  /// Propagates a prepared device update and releases its locks.
-  Status FinishDeviceUpdate(const WorkItem& item, lexpress::Vm* vm);
+  /// Propagates one item on the calling thread as a batch of one and
+  /// returns its outcome (synchronous mode and Synchronize).
+  Status ProcessNow(WorkItem item);
 
   /// Overlays a device update's partial images onto the directory's
   /// current entry so fan-out never clears attributes the source
@@ -357,26 +366,6 @@ class UpdateManager : public ltap::TriggerActionServer {
   StatusOr<lexpress::UpdateDescriptor> DescriptorFromNotification(
       const ltap::UpdateNotification& notification) const;
 
-  /// Processes one queued item (dispatches on descriptor schema).
-  /// `vm` is the calling worker's interpreter, reused across items.
-  Status ProcessItem(const WorkItem& item, lexpress::Vm* vm);
-
-  /// Path A tail: descriptor is in the "ldap" schema and the directory
-  /// already reflects the client's operation.
-  Status ProcessLdapOriginated(const lexpress::UpdateDescriptor& update,
-                               lexpress::Vm* vm);
-
-  /// Path B: descriptor is in a device schema; takes the LTAP entry
-  /// lock, applies to the directory, propagates (§4.4).
-  Status ProcessDeviceOriginated(const lexpress::UpdateDescriptor& update,
-                                 lexpress::Vm* vm);
-
-  /// Shared propagation tail: closure, directory diff, device fan-out,
-  /// generated-information round. `ldap_current` tells whether the
-  /// directory already reflects update.new_record's explicit changes.
-  Status Propagate(const lexpress::UpdateDescriptor& ldap_update,
-                   bool ldap_current, lexpress::Vm* vm);
-
   /// PlanUpdate with the worker's interpreter (the public overload
   /// forwards with the per-thread fallback).
   StatusOr<UpdatePlan> PlanUpdate(
@@ -392,7 +381,6 @@ class UpdateManager : public ltap::TriggerActionServer {
 
   /// The §5.5 device-generated-information round: folds attributes the
   /// devices MINTED (differ from what we sent) back into the directory.
-  /// Shared by the sequential and the batched propagation paths.
   Status BackfillGeneratedInfo(const lexpress::UpdateDescriptor& ldap_update,
                                const UpdatePlan& plan,
                                const std::vector<DeviceResult>& results);
@@ -403,17 +391,20 @@ class UpdateManager : public ltap::TriggerActionServer {
     lexpress::UpdateDescriptor update;
     std::vector<size_t> constituents;  // Indices into the popped batch.
     bool annihilated = false;
-    bool ldap_current = false;  // Path A unit: directory already current.
+    Origin origin = Origin::kClient;  // Its first constituent's.
   };
 
-  /// The batched path (max_batch_size > 1): coalesces the popped
-  /// items, partitions the units into entity-disjoint waves, and
-  /// propagates each wave with shared repository conversations.
+  /// The propagation pipeline, for a popped batch of any size (one for
+  /// inline callers): coalesces the items, partitions the units into
+  /// entity-disjoint waves, and propagates each wave. `vm` is the
+  /// calling worker's interpreter, reused across items (nullptr: the
+  /// per-thread fallback).
   void ProcessBatch(std::vector<WorkItem> items, lexpress::Vm* vm);
 
   /// Plans and executes one wave of entity-disjoint units: one shared
   /// processing delay, one LTAP session for all directory writes, one
-  /// device session per repository. Settles every constituent.
+  /// device session per repository, saga compensation per unit. The
+  /// only code that applies a planned op. Settles every constituent.
   void PropagateWave(std::vector<UnitWork>& units,
                      const std::vector<size_t>& wave,
                      std::vector<WorkItem>& items, lexpress::Vm* vm);
@@ -446,12 +437,14 @@ class UpdateManager : public ltap::TriggerActionServer {
                      const lexpress::UpdateDescriptor& update)
       EXCLUDES(admin_mutex_);
 
-  /// Sends one update through the repository's circuit breaker: an
-  /// open circuit yields kSkippedOpenCircuit without touching the
-  /// repository; otherwise the apply result feeds the breaker (a
-  /// permanent rejection is proof of life and counts as success).
-  ApplyResult ApplyToRepository(RepositoryFilter* filter,
-                                const lexpress::UpdateDescriptor& update);
+  /// Sends updates to a repository over one conversation, through its
+  /// circuit breaker: an open circuit yields kSkippedOpenCircuit for
+  /// each without touching the repository; otherwise each result feeds
+  /// the breaker in order (a permanent rejection is proof of life and
+  /// counts as success). Results are positional.
+  std::vector<ApplyResult> ApplyToRepository(
+      RepositoryFilter* filter,
+      const std::vector<lexpress::UpdateDescriptor>& updates);
 
   CircuitBreaker* BreakerFor(const std::string& repository) const;
 
@@ -491,7 +484,8 @@ class UpdateManager : public ltap::TriggerActionServer {
   void DeleteErrorEntry(const ldap::Dn& dn, const std::string& repository)
       EXCLUDES(stats_mutex_);
 
-  /// Reverts already-applied device updates (saga extension).
+  /// Reverts one unit's already-applied device updates, latest first
+  /// (saga extension).
   void UndoApplied(
       const std::vector<std::pair<RepositoryFilter*,
                                   lexpress::UpdateDescriptor>>& applied);
@@ -503,7 +497,7 @@ class UpdateManager : public ltap::TriggerActionServer {
   /// (the caller still owns the item's locks).
   bool Enqueue(WorkItem item) EXCLUDES(stats_mutex_);
 
-  /// Records a worker (or Pump) picking `item` up.
+  /// Records a worker picking `item` up.
   void RecordDequeue(const WorkItem& item) EXCLUDES(stats_mutex_);
 
   /// One worker per shard: drains that shard in strict FIFO order, so

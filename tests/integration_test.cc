@@ -356,5 +356,29 @@ TEST_F(IntegrationTest, StatsAccounting) {
   EXPECT_EQ(stats.errors, 0u);
 }
 
+TEST_F(IntegrationTest, SingleUpdateWavePaysOneRoundTripPerDevice) {
+  // A lone update is a one-unit wave: each device apply is one
+  // administrative conversation (one emulated RTT), however many
+  // converter commands (Get, Modify, result Get) it runs inside.
+  SystemConfig config;
+  config.device_command_rtt_micros = 1;
+  Build(config);
+  ASSERT_TRUE(system_
+                  ->AddPerson("John Doe",
+                              {{"telephoneNumber", "+1 908 582 4567"}})
+                  .ok());
+  devices::LatencyEmulator& pbx = system_->pbx("pbx1")->latency();
+  devices::LatencyEmulator& mp = system_->mp("mp1")->latency();
+  const uint64_t pbx_before = pbx.round_trips();
+  const uint64_t mp_before = mp.round_trips();
+  ldap::Client client = system_->NewClient();
+  ASSERT_TRUE(client
+                  .Replace("cn=John Doe,ou=People,o=Lucent", "roomNumber",
+                           "2D-101")
+                  .ok());
+  EXPECT_EQ(pbx.round_trips() - pbx_before, 1u);
+  EXPECT_EQ(mp.round_trips() - mp_before, 1u);
+}
+
 }  // namespace
 }  // namespace metacomm::core
