@@ -38,8 +38,9 @@ std::optional<lexpress::Record> FetchPrior(
 
 /// The saga compensation of an applied device update, built from the
 /// repository's pre-update record.
-lexpress::UpdateDescriptor Inverse(const lexpress::UpdateDescriptor& update,
-                                   const std::optional<lexpress::Record>& prior) {
+lexpress::UpdateDescriptor Inverse(
+    const lexpress::UpdateDescriptor& update,
+    const std::optional<lexpress::Record>& prior) {
   lexpress::UpdateDescriptor inverse;
   inverse.schema = update.schema;
   inverse.source = "metacomm-undo";
@@ -695,7 +696,7 @@ Status UpdateManager::BackfillGeneratedInfo(
   return Status::Ok();
 }
 
-void UpdateManager::SettleUnit(const UnitWork& unit,
+void UpdateManager::SettleUnit(const CoalescedUnit& unit,
                                std::vector<WorkItem>& items,
                                const Status& status, bool processed) {
   for (size_t index : unit.constituents) {
@@ -724,20 +725,7 @@ void UpdateManager::ProcessBatch(std::vector<WorkItem> items,
     MutexLock lock(&stats_mutex_);
     stats_.coalesced += folded.coalesced_away;
   }
-
-  std::vector<UnitWork> units;
-  units.reserve(folded.units.size());
-  for (CoalescedUnit& folded_unit : folded.units) {
-    UnitWork unit;
-    unit.update = std::move(folded_unit.update);
-    unit.constituents = std::move(folded_unit.constituents);
-    unit.annihilated = folded_unit.annihilated;
-    // The first constituent decides what the directory has seen: the
-    // coalescer only folds a later item into an earlier unit, and only
-    // items of the same source.
-    unit.origin = items[unit.constituents.front()].origin;
-    units.push_back(std::move(unit));
-  }
+  std::vector<CoalescedUnit>& units = folded.units;
 
   // Wave partitioning: consecutive units touching DISJOINT entities
   // propagate together; a repeated entity starts the next wave so
@@ -764,7 +752,7 @@ void UpdateManager::ProcessBatch(std::vector<WorkItem> items,
     std::set<std::string, CaseInsensitiveLess> wave_keys;
     std::vector<size_t> wave;
     for (; next < units.size(); ++next) {
-      UnitWork& unit = units[next];
+      CoalescedUnit& unit = units[next];
       if (unit.annihilated) {
         // Add+...+Delete folded to nothing: the entity never existed
         // as far as any repository is concerned. Settle as success.
@@ -789,13 +777,13 @@ void UpdateManager::ProcessBatch(std::vector<WorkItem> items,
   }
 }
 
-void UpdateManager::PropagateWave(std::vector<UnitWork>& units,
+void UpdateManager::PropagateWave(std::vector<CoalescedUnit>& units,
                                   const std::vector<size_t>& wave,
                                   std::vector<WorkItem>& items,
                                   lexpress::Vm* vm) {
   // One planned-and-alive propagation per unit in the wave.
   struct LiveUnit {
-    UnitWork* unit;
+    CoalescedUnit* unit;
     lexpress::UpdateDescriptor update;  // Integrated schema.
     UpdatePlan plan;
     std::vector<DeviceResult> results;
@@ -809,14 +797,18 @@ void UpdateManager::PropagateWave(std::vector<UnitWork>& units,
   std::vector<LiveUnit> live;
   live.reserve(wave.size());
   for (size_t index : wave) {
-    UnitWork& unit = units[index];
+    CoalescedUnit& unit = units[index];
+    // The first constituent decides what the directory has seen: the
+    // coalescer only folds a later item into an earlier unit, and only
+    // items of the same source.
+    const Origin origin = items[unit.constituents.front()].origin;
     LiveUnit lu;
     lu.unit = &unit;
-    lu.update = unit.origin == Origin::kDevice
+    lu.update = origin == Origin::kDevice
                     ? HydrateDeviceUpdate(std::move(unit.update))
                     : std::move(unit.update);
     StatusOr<UpdatePlan> plan =
-        PlanUpdate(lu.update, unit.origin == Origin::kClient, vm);
+        PlanUpdate(lu.update, origin == Origin::kClient, vm);
     if (!plan.ok()) {
       // Closure fixpoint failure (runtime cycle detection, §4.2) or a
       // mapping evaluation error.

@@ -24,6 +24,8 @@
 
 namespace metacomm::core {
 
+struct CoalescedUnit;
+
 /// Update Manager tuning.
 struct UpdateManagerConfig {
   /// true: worker threads drain the update queue (production shape).
@@ -385,15 +387,6 @@ class UpdateManager : public ltap::TriggerActionServer {
                                const UpdatePlan& plan,
                                const std::vector<DeviceResult>& results);
 
-  /// A coalesced unit of batch work: the effective update plus the
-  /// queue items it settles (promises + entry-lock sessions).
-  struct UnitWork {
-    lexpress::UpdateDescriptor update;
-    std::vector<size_t> constituents;  // Indices into the popped batch.
-    bool annihilated = false;
-    Origin origin = Origin::kClient;  // Its first constituent's.
-  };
-
   /// The propagation pipeline, for a popped batch of any size (one for
   /// inline callers): coalesces the items, partitions the units into
   /// entity-disjoint waves, and propagates each wave. `vm` is the
@@ -405,7 +398,7 @@ class UpdateManager : public ltap::TriggerActionServer {
   /// processing delay, one LTAP session for all directory writes, one
   /// device session per repository, saga compensation per unit. The
   /// only code that applies a planned op. Settles every constituent.
-  void PropagateWave(std::vector<UnitWork>& units,
+  void PropagateWave(std::vector<CoalescedUnit>& units,
                      const std::vector<size_t>& wave,
                      std::vector<WorkItem>& items, lexpress::Vm* vm);
 
@@ -413,7 +406,7 @@ class UpdateManager : public ltap::TriggerActionServer {
   /// `processed` distinguishes a settled outcome (success, or a
   /// failure the error log now owns — intents resolve) from a
   /// shutdown drain (intents stay pending and replay on restart).
-  void SettleUnit(const UnitWork& unit, std::vector<WorkItem>& items,
+  void SettleUnit(const CoalescedUnit& unit, std::vector<WorkItem>& items,
                   const Status& status, bool processed);
 
   /// Batch-size telemetry for one worker queue drain.

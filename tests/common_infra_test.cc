@@ -40,8 +40,9 @@ TEST(ShardedBlockingQueueTest, RoundRobinCoversAllShards) {
 }
 
 TEST(ShardedBlockingQueueTest, CloseAbortsInsteadOfDraining) {
-  // Close means abort: Pop must NOT hand out the remaining items — the owner reclaims them via Drain() to release
-  // their locks and fail their promises.
+  // Close means abort: Pop must NOT hand out the remaining items — the
+  // owner reclaims them via Drain() to release their locks and fail
+  // their promises.
   ShardedBlockingQueue<int> queue(2);
   queue.Push(0, 1);
   queue.Push(1, 2);
